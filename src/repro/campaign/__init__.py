@@ -11,8 +11,9 @@ parallel campaign::
         print(result.job.model, result.stats.ipc)
 
 Re-running the same campaign answers every job from the store without
-simulating.  See ``docs/CAMPAIGNS.md`` for the job model, the
-key/provenance scheme and resume semantics.
+simulating — also after Ctrl-C or a :class:`WorkerLostError`, for every
+group that finished first.  See ``docs/CAMPAIGNS.md`` for the job
+model, the key/provenance scheme and resume semantics.
 """
 
 from .jobs import Job, JobResult, Provenance, SOURCE_RUN, SOURCE_STORE
@@ -30,6 +31,7 @@ from .scheduler import (
     CampaignOutcome,
     CampaignState,
     StoreMissError,
+    WorkerLostError,
     campaign_context,
     current_context,
     execute_job,
@@ -51,6 +53,7 @@ __all__ = [
     "SOURCE_RUN",
     "SOURCE_STORE",
     "StoreMissError",
+    "WorkerLostError",
     "campaign_context",
     "canonical",
     "current_context",

@@ -14,32 +14,35 @@
   trace once (the runner's per-process trace cache covers re-dispatch of
   the same trace to the same pool worker).
 
-Ctrl-C drains gracefully: results of groups that already finished are
-persisted to the store before ``KeyboardInterrupt`` propagates, so an
-interrupted campaign resumes from where it stopped.
+Groups run in-process when ``jobs_n <= 1`` (or there is only one),
+otherwise on a ``ProcessPoolExecutor``; either way every finished group
+goes through the same drain loop, which persists its results before
+anything else happens.  Hence:
+
+* **Ctrl-C** cancels the queued groups and propagates
+  ``KeyboardInterrupt``; everything drained so far is in the store, so
+  an interrupted campaign resumes from where it stopped.
+* **A lost worker** (killed, OOM, segfault) breaks the pool.  The loop
+  keeps draining the groups that had already finished, then raises
+  :class:`WorkerLostError`; a re-run simulates only the lost groups.
 
 An ambient :class:`CampaignContext` (``with campaign_context(...):``)
 lets high-level entry points — the experiment registry, the CLI — set
 the parallelism and store once while inner layers keep calling
-``run_campaign(jobs)`` with no extra plumbing.  Two service-tier flags
-ride on the context: ``store_only`` (resolve from the store or raise
-:class:`StoreMissError` — never simulate; this is how ``repro serve``
-guarantees a warm query executes zero simulations) and ``streaming``
-(dispatch through the asyncio scheduler in
-:mod:`repro.service.streaming` instead of the multiprocessing pool).
+``run_campaign(jobs)`` with no extra plumbing.  ``store_only`` on the
+context resolves from the store or raises :class:`StoreMissError` —
+never simulates; this is how ``repro serve`` guarantees a warm query
+executes zero simulations.
 
 The store pass, intra-batch dedup, result fan-out and ordering logic
-live in :class:`CampaignState`, shared verbatim by this module's
-multiprocessing fan-out and the streaming scheduler — which is why the
-two paths produce byte-identical outcomes.
+live in :class:`CampaignState`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from contextlib import closing, contextmanager
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core import MachineConfig, SimStats
 from ..core.decoded import decode_trace
@@ -56,6 +59,12 @@ ProgressFn = Callable[[int, int, JobResult], None]
 #: One task for a worker: [(submission index, job), ...] sharing a trace.
 _Group = List[Tuple[int, Job]]
 
+#: What a group returns: [(submission index, stats, wall seconds), ...].
+_GroupResult = List[Tuple[int, SimStats, float]]
+
+if TYPE_CHECKING:
+    import multiprocessing.context
+
 
 class StoreMissError(LookupError):
     """A store-only campaign needed a result the store does not hold.
@@ -71,6 +80,14 @@ class StoreMissError(LookupError):
         )
         self.missing = missing
         self.total = total
+
+
+class WorkerLostError(RuntimeError):
+    """A pool worker died mid-campaign (killed, OOM, segfault).
+
+    Everything completed before the loss is already in the store —
+    re-running the campaign resumes from there.
+    """
 
 
 def execute_job(job: Job) -> SimStats:
@@ -134,7 +151,7 @@ def _prewarm_group(group: _Group) -> None:
                     decode_trace(slice_trace, lb)
 
 
-def _run_group(group: _Group) -> List[Tuple[int, SimStats, float]]:
+def _run_group(group: _Group) -> _GroupResult:
     """Worker entry point: simulate one trace-sharing group of jobs."""
     _prewarm_group(group)
     out = []
@@ -165,15 +182,12 @@ class CampaignOutcome:
 
 
 class CampaignState:
-    """The scheduler-independent campaign bookkeeping.
+    """The campaign bookkeeping, whichever way its groups run.
 
-    Both execution paths — the multiprocessing fan-out below and the
-    asyncio streaming scheduler (:mod:`repro.service.streaming`) — drive
-    the same state machine: :meth:`resolve` performs the store pass and
-    intra-batch dedup, :meth:`complete` persists and fans out one
-    simulated result, :meth:`finalize` re-asserts submission order.
-    Byte-identical outcomes across schedulers follow from sharing this
-    class rather than re-implementing its rules.
+    :meth:`resolve` performs the store pass and intra-batch dedup,
+    :meth:`complete` persists and fans out one simulated result,
+    :meth:`finalize` re-asserts submission order.  Serial and parallel
+    outcomes are byte-identical because both feed this one class.
     """
 
     def __init__(
@@ -191,8 +205,6 @@ class CampaignState:
         self.done = 0
         self._slots: List[Optional[JobResult]] = [None] * self.total
         self._duplicates: Dict[int, List[int]] = {}  # first index -> followers
-        #: Results finished during resolve() (store hits), in order.
-        self.resolved: List[JobResult] = []
 
     def _finish(self, index: int, result: JobResult) -> None:
         self._slots[index] = result
@@ -211,9 +223,7 @@ class CampaignState:
                 if found is not None:
                     stats, provenance = found
                     self.outcome.store_hits += 1
-                    result = JobResult(job, stats, provenance)
-                    self.resolved.append(result)
-                    self._finish(index, result)
+                    self._finish(index, JobResult(job, stats, provenance))
                     continue
             first = first_index_for_key.setdefault(key, index)
             if first != index:
@@ -223,27 +233,21 @@ class CampaignState:
                 pending.append((index, job))
         return _group_by_trace(pending)
 
-    def complete(self, index: int, stats: SimStats, wall: float) -> List[JobResult]:
-        """Persist one simulated result and fan it out to duplicate jobs.
-
-        Returns every :class:`JobResult` this completion finished (the
-        job itself plus intra-batch duplicates) — the streaming
-        scheduler yields exactly these.
-        """
+    def complete(self, index: int, stats: SimStats, wall: float) -> None:
+        """Persist one simulated result and fan it out to duplicate jobs."""
         job = self.jobs[index]
         provenance = Provenance(SOURCE_RUN, wall, CODE_VERSION)
         if self.store is not None:
             self.store.put(job, stats, provenance)
         self.outcome.executed += 1
-        finished = [JobResult(job, stats, provenance)]
-        self._finish(index, finished[0])
+        self._finish(index, JobResult(job, stats, provenance))
         for follower in self._duplicates.get(index, ()):
-            result = JobResult(
-                self.jobs[follower], stats, Provenance(SOURCE_STORE, wall, CODE_VERSION)
+            self._finish(
+                follower,
+                JobResult(
+                    self.jobs[follower], stats, Provenance(SOURCE_STORE, wall, CODE_VERSION)
+                ),
             )
-            finished.append(result)
-            self._finish(follower, result)
-        return finished
 
     def finalize(self) -> CampaignOutcome:
         """Assemble the outcome in submission order; absorbs into context."""
@@ -268,7 +272,6 @@ class CampaignContext:
 
     ``store_only`` turns misses into :class:`StoreMissError` instead of
     simulations — the serving tier's zero-simulation guarantee.
-    ``streaming`` routes execution through the asyncio scheduler.
     """
 
     jobs_n: int = 1
@@ -276,7 +279,6 @@ class CampaignContext:
     progress: Optional[ProgressFn] = None
     sampling: Optional[SamplingPlan] = None
     store_only: bool = False
-    streaming: bool = False
     executed: int = 0
     store_hits: int = 0
 
@@ -300,7 +302,6 @@ def campaign_context(
     progress: Optional[ProgressFn] = None,
     sampling: Optional[SamplingPlan] = None,
     store_only: bool = False,
-    streaming: bool = False,
 ) -> Iterator[CampaignContext]:
     """Install an ambient context for nested ``run_campaign`` calls."""
     global _ACTIVE_CONTEXT
@@ -310,7 +311,6 @@ def campaign_context(
         progress=progress,
         sampling=sampling,
         store_only=store_only,
-        streaming=streaming,
     )
     previous = _ACTIVE_CONTEXT
     _ACTIVE_CONTEXT = context
@@ -320,11 +320,55 @@ def campaign_context(
         _ACTIVE_CONTEXT = previous
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
+def _pool_context() -> "multiprocessing.context.BaseContext":
     # fork keeps the parent's (already warm) trace cache and sys.path;
     # fall back to spawn where fork is unavailable.
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+def _finished_groups(groups: List[_Group], jobs_n: int) -> Iterator[_GroupResult]:
+    """Run the groups and yield each one's results as it finishes.
+
+    Serially in-process for ``jobs_n <= 1`` or at most one group (no
+    executor is built); otherwise on a process pool, in completion
+    order.  A broken pool does not stop the yield of groups that already
+    finished; :class:`WorkerLostError` follows them.  Closing the
+    generator early (Ctrl-C, an error in the consumer) cancels the
+    groups still queued.
+    """
+    if jobs_n <= 1 or len(groups) <= 1:
+        for group in groups:
+            yield _run_group(group)
+        return
+
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    executor = ProcessPoolExecutor(
+        max_workers=min(jobs_n, len(groups)), mp_context=_pool_context()
+    )
+    lost: Optional[BrokenProcessPool] = None
+    try:
+        futures = [executor.submit(_run_group, group) for group in groups]
+        for future in as_completed(futures):
+            try:
+                group_result = future.result()
+            except BrokenProcessPool as error:
+                lost = error
+                continue
+            yield group_result
+    except BaseException:
+        executor.shutdown(wait=False, cancel_futures=True)
+        raise
+    executor.shutdown()
+    if lost is not None:
+        raise WorkerLostError(
+            "a campaign worker died; completed groups are persisted — "
+            "re-run to resume from the store"
+        ) from lost
 
 
 def run_campaign(
@@ -342,11 +386,14 @@ def run_campaign(
         store: result store; ``None`` defers to the ambient context
             (which may itself have none — then nothing persists).
         progress: per-job callback ``(done, total, result)``; ``None``
-            defers to the ambient context.
+            defers to the ambient context.  Store hits are reported
+            first, then simulated jobs as their groups finish.
 
     Raises:
         StoreMissError: the ambient context is ``store_only`` and at
             least one job is not in the store.
+        WorkerLostError: a worker process died; groups that finished
+            before the loss are persisted.
     """
     context = current_context()
     if jobs_n is None:
@@ -355,11 +402,6 @@ def run_campaign(
         store = context.store
     if progress is None and context is not None:
         progress = context.progress
-
-    if context is not None and context.streaming and not context.store_only:
-        from ..service.streaming import run_streaming
-
-        return run_streaming(jobs, jobs_n=jobs_n, store=store, progress=progress)
 
     state = CampaignState(jobs, store=store, progress=progress)
 
@@ -372,25 +414,11 @@ def run_campaign(
             total=state.total,
         )
 
-    # 2. Execute the misses, grouped so each trace is generated once.
-    if groups:
-        if jobs_n <= 1 or len(groups) == 1:
-            for group in groups:
-                for index, stats, wall in _run_group(group):
-                    state.complete(index, stats, wall)
-        else:
-            ctx = _pool_context()
-            workers = min(jobs_n, len(groups))
-            with ctx.Pool(processes=workers) as pool:
-                iterator = pool.imap_unordered(_run_group, groups)
-                try:
-                    for group_result in iterator:
-                        for index, stats, wall in group_result:
-                            state.complete(index, stats, wall)
-                except KeyboardInterrupt:
-                    # Drain: everything completed above is already in the
-                    # store; abandon the rest and propagate.
-                    pool.terminate()
-                    raise
+    # 2. Execute the misses, grouped so each trace is generated once; the
+    #    one drain loop persists every result the moment its group lands.
+    with closing(_finished_groups(groups, jobs_n)) as finished:
+        for group_result in finished:
+            for index, stats, wall in group_result:
+                state.complete(index, stats, wall)
 
     return state.finalize()

@@ -41,7 +41,6 @@ from ..service.backends import (
     StoreBackend,
     StoreBackendError,
     StoreStats,
-    write_json_atomic,
 )
 from ..telemetry.profile import RunProfile
 from .jobs import Job, Provenance
@@ -130,21 +129,9 @@ class ResultStore:
     def path_for(self, key: str) -> Path:
         return self._backend_path(KIND_RESULT, key)
 
-    def profile_path_for(self, key: str) -> Path:
-        """A run profile lives next to its result, same content key."""
-        return self._backend_path(KIND_PROFILE, key)
-
     def fuzz_path_for(self, key: str) -> Path:
         """A fuzz-corpus entry; standalone (no parent result entry)."""
         return self._backend_path(KIND_FUZZ, key)
-
-    # -- shared write path ---------------------------------------------
-
-    @staticmethod
-    def _write_json(path: Path, document: dict) -> None:
-        """Write one JSON document atomically and durably (fsync'd temp
-        file + rename + parent-directory fsync)."""
-        write_json_atomic(path, document)
 
     # -- read ----------------------------------------------------------
 

@@ -40,7 +40,13 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .campaign import DEFAULT_ROOT, ProgressPrinter, ResultStore, campaign_context
+from .campaign import (
+    DEFAULT_ROOT,
+    ProgressPrinter,
+    ResultStore,
+    WorkerLostError,
+    campaign_context,
+)
 from .core import MachineConfig
 from .experiments import EXPERIMENTS, get_experiment
 from .isa import FUClass
@@ -230,9 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="neither read nor write the result store")
     camp.add_argument("--clear-store", action="store_true",
                       help="empty the store before running")
-    camp.add_argument("--stream", action="store_true",
-                      help="use the asyncio streaming scheduler "
-                           "(byte-identical results; docs/SERVICE.md)")
     camp.add_argument("--quiet", action="store_true",
                       help="suppress per-job progress on stderr")
     _add_sampling_args(camp)
@@ -710,12 +713,20 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
     with campaign_context(
         jobs_n=args.jobs, store=store, progress=progress, sampling=plan,
-        streaming=args.stream,
     ) as context:
-        for experiment in experiments:
-            result = experiment.run(**kwargs)
-            print(result.render())
-            print()
+        try:
+            for experiment in experiments:
+                result = experiment.run(**kwargs)
+                print(result.render())
+                print()
+        except WorkerLostError:
+            kept = (
+                "completed results are stored, re-run the same command to resume"
+                if store is not None
+                else "nothing was stored (--no-store)"
+            )
+            print(f"campaign: a worker process died; {kept}", file=sys.stderr)
+            return 1
     print(
         f"campaign: {context.executed} simulation(s) run, "
         f"{context.store_hits} store hit(s)",

@@ -19,51 +19,25 @@ every value it supplies is checked against the primary's FU execution.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..core import MachineConfig, SimStats
 from ..core.decoded import OP_META
 from ..core.dyninst import PRIMARY, DynInst
 from ..isa import TraceInst
-from ..redundancy import CommitChecker, DIEPipeline
-from ..telemetry.events import (
-    IRB_LOOKUP,
-    IRB_PC_HIT,
-    IRB_PORT_STARVED,
-    IRB_REUSE_HIT,
-    IRB_WRITE,
-    NULL_TRACER,
-    IRBEvent,
-)
-from ..workloads import Trace
+from ..redundancy import DIEPipeline
+from ..telemetry.events import IRB_REUSE_HIT, IRB_WRITE, NULL_TRACER, IRBEvent
 from .entry import IRBEntry
-from .irb import IRB, IRBConfig
-from .ports import PortArbiter
+from .frontend import IRBFrontEnd
 
 
-class DIEIRBPipeline(DIEPipeline):
-    """Dual Instruction Execution with an Instruction Reuse Buffer."""
+class DIEIRBPipeline(IRBFrontEnd, DIEPipeline):
+    """Dual Instruction Execution with an Instruction Reuse Buffer.
+
+    ``checker`` (a :class:`~repro.redundancy.CommitChecker`) passes
+    through to :class:`~repro.redundancy.DIEPipeline` by keyword.
+    """
 
     name = "DIE-IRB"
-
-    def __init__(
-        self,
-        trace: Trace,
-        config: Optional[MachineConfig] = None,
-        irb_config: Optional[IRBConfig] = None,
-        checker: Optional[CommitChecker] = None,
-    ):
-        super().__init__(trace, config, checker)
-        self.irb = IRB(irb_config)
-        self.ports = PortArbiter(
-            self.irb.config.read_ports,
-            self.irb.config.write_ports,
-            self.irb.config.rw_ports,
-        )
-        # How far past dispatch the pipelined lookup lands (see _probe).
-        self._lookup_residual = max(
-            0, self.irb.config.lookup_latency - self.config.frontend_latency
-        )
 
     # ------------------------------------------------------------------
     # Fetch-side: pipelined IRB lookup
@@ -110,28 +84,6 @@ class DIEIRBPipeline(DIEPipeline):
         if entry is not None:
             duplicate.irb_entry = entry
             duplicate.irb_ready_cycle = self.cycle + self._lookup_residual
-
-    def _probe_pc(self, pc: int, opcode: object) -> Optional[IRBEntry]:
-        """One probe's accounting (stats, ports, lookup, telemetry)."""
-        stats = self.stats
-        stats.irb_lookups += 1
-        tracer = self.tracer
-        tracing = tracer is not NULL_TRACER
-        if tracing:
-            tracer.emit(IRBEvent(IRB_LOOKUP, self.cycle, pc, opcode))
-        if not self.ports.try_read(self.cycle):
-            # All read ports busy this cycle: the probe is abandoned and
-            # the duplicate will execute on the FUs (counted, rare).
-            stats.irb_port_starved += 1
-            if tracing:
-                tracer.emit(IRBEvent(IRB_PORT_STARVED, self.cycle, pc))
-            return None
-        entry = self.irb.lookup(pc)
-        if entry is not None:
-            stats.irb_pc_hits += 1
-            if tracing:
-                tracer.emit(IRBEvent(IRB_PC_HIT, self.cycle, pc, opcode))
-        return entry
 
     # ------------------------------------------------------------------
     # Wakeup: primary results feed both streams; reuse test at capture
@@ -212,14 +164,6 @@ class DIEIRBPipeline(DIEPipeline):
             return inst.trace.mem_addr
         return inst.trace.result
 
-    def _hook_tick(self) -> None:
-        self.irb.drain(self.ports, self.cycle)
-
-    def _tick_quiescent(self) -> bool:
-        # Fast-forward must not jump over cycles where the write queue is
-        # still draining into the IRB through the port arbiter.
-        return not self.irb.pending_writes
-
     # ------------------------------------------------------------------
 
     def _on_mismatch(self, primary: DynInst) -> None:
@@ -228,9 +172,3 @@ class DIEIRBPipeline(DIEPipeline):
         # (the commit-time install will repopulate it with checked values).
         if primary.pair.reuse_hit:
             self.irb.invalidate(primary.trace.pc)
-
-    def run(self, max_cycles: Optional[int] = None) -> SimStats:
-        stats = super().run(max_cycles)
-        stats.irb_writes = self.irb.stats.writes
-        stats.irb_write_drops = self.irb.stats.write_drops
-        return stats

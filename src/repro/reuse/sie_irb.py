@@ -11,48 +11,20 @@ only modestly (it is not ALU-bound) is reproducible with this model.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from ..core import MachineConfig, OOOPipeline, SimStats
+from ..core import OOOPipeline
 from ..core.decoded import OP_META
 from ..core.dyninst import DynInst
 from ..isa import TraceInst
-from ..telemetry.events import (
-    IRB_LOOKUP,
-    IRB_PC_HIT,
-    IRB_PORT_STARVED,
-    IRB_REUSE_HIT,
-    IRB_WRITE,
-    NULL_TRACER,
-    IRBEvent,
-)
-from ..workloads import Trace
-from .irb import IRB, IRBConfig
-from .ports import PortArbiter
+from ..telemetry.events import IRB_REUSE_HIT, IRB_WRITE, NULL_TRACER, IRBEvent
+from .frontend import IRBFrontEnd
 
 
-class SIEIRBPipeline(OOOPipeline):
+class SIEIRBPipeline(IRBFrontEnd, OOOPipeline):
     """Single-stream out-of-order core with a Sodani/Sohi-style IRB."""
 
     name = "SIE-IRB"
-
-    def __init__(
-        self,
-        trace: Trace,
-        config: Optional[MachineConfig] = None,
-        irb_config: Optional[IRBConfig] = None,
-    ):
-        super().__init__(trace, config)
-        self.irb = IRB(irb_config)
-        self.ports = PortArbiter(
-            self.irb.config.read_ports,
-            self.irb.config.write_ports,
-            self.irb.config.rw_ports,
-        )
-        # How far past dispatch the pipelined lookup lands.
-        self._lookup_residual = max(
-            0, self.irb.config.lookup_latency - self.config.frontend_latency
-        )
 
     # ------------------------------------------------------------------
 
@@ -70,26 +42,6 @@ class SIEIRBPipeline(OOOPipeline):
         # port accounting), exactly as the discarded construction did.
         if OP_META[inst.opcode].reusable:
             self._probe_pc(inst.pc, inst.opcode)
-
-    def _probe_pc(self, pc: int, opcode: object):
-        """One probe's accounting (stats, ports, lookup, telemetry)."""
-        stats = self.stats
-        stats.irb_lookups += 1
-        tracer = self.tracer
-        tracing = tracer is not NULL_TRACER
-        if tracing:
-            tracer.emit(IRBEvent(IRB_LOOKUP, self.cycle, pc, opcode))
-        if not self.ports.try_read(self.cycle):
-            stats.irb_port_starved += 1
-            if tracing:
-                tracer.emit(IRBEvent(IRB_PORT_STARVED, self.cycle, pc))
-            return None
-        entry = self.irb.lookup(pc)
-        if entry is not None:
-            stats.irb_pc_hits += 1
-            if tracing:
-                tracer.emit(IRBEvent(IRB_PC_HIT, self.cycle, pc, opcode))
-        return entry
 
     # ------------------------------------------------------------------
 
@@ -142,17 +94,3 @@ class SIEIRBPipeline(OOOPipeline):
                     tracer.emit(
                         IRBEvent(IRB_WRITE, self.cycle, trace.pc, trace.opcode)
                     )
-
-    def _hook_tick(self) -> None:
-        self.irb.drain(self.ports, self.cycle)
-
-    def _tick_quiescent(self) -> bool:
-        # Fast-forward must not jump over cycles where the write queue is
-        # still draining into the IRB through the port arbiter.
-        return not self.irb.pending_writes
-
-    def run(self, max_cycles: Optional[int] = None) -> SimStats:
-        stats = super().run(max_cycles)
-        stats.irb_writes = self.irb.stats.writes
-        stats.irb_write_drops = self.irb.stats.write_drops
-        return stats

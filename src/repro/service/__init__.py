@@ -1,4 +1,4 @@
-"""Service tier: pluggable store backends, streaming scheduler, HTTP API.
+"""Service tier: pluggable store backends, HTTP API, store maintenance.
 
 The campaign layer (PR 2) established the contract — declarative
 :class:`~repro.campaign.jobs.Job` specs hashed into content keys, one
@@ -11,9 +11,6 @@ simulating.  This package promotes that store into a service:
   O(1) metadata queries over 10k+ entries
   (:class:`~.backends.SqliteBackend`), and an HTTP client with a
   read-through local cache (:class:`~.backends.HTTPBackend`).
-* :mod:`.streaming` — ``stream_campaign``, an asyncio scheduler that
-  feeds trace-grouped jobs to a pool of worker processes and streams
-  results back as they complete, byte-identical to the serial path.
 * :mod:`.server` — ``repro serve``, a thin stdlib HTTP API answering
   result/experiment/profile queries straight from the store; a warm
   query executes zero simulations.
@@ -21,9 +18,8 @@ simulating.  This package promotes that store into a service:
   directory→sqlite index migration behind ``repro store``.
 
 Only the backend layer is imported eagerly (the campaign store depends
-on it); the scheduler and server are imported by the CLI on demand::
+on it); the server is imported by the CLI on demand::
 
-    from repro.service.streaming import run_streaming, stream_campaign
     from repro.service.server import ReproServer
 
 See ``docs/SERVICE.md`` for the backend matrix, the API routes and the

@@ -27,10 +27,10 @@ Three implementations ship behind the interface:
   answered locally from then on; content keys make cached entries
   immutable, so the cache never needs invalidation).
 
-Durability note (the torn-write guarantee): ``_write_json`` fsyncs the
-temp file *before* the rename and the parent directory *after* it, so a
-crash at any point leaves either the complete old state or the complete
-new state — never a truncated entry.  A crash before the rename leaves
+Durability note (the torn-write guarantee): ``write_json_atomic`` fsyncs
+the temp file *before* the rename and the parent directory *after* it, so
+a crash at any point leaves either the complete old state or the
+complete new state — never a truncated entry.  A crash before the rename leaves
 only a ``.tmp-*`` file, which readers never look at and ``repro store
 gc`` removes.
 """

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .backends import (
     KIND_FUZZ,
@@ -138,13 +138,3 @@ def migrate_index(root: Path) -> int:
 def store_stats(backend: StoreBackend) -> dict:
     """The ``repro store stats`` payload (works on any backend)."""
     return backend.stats().to_dict()
-
-
-def open_local_backend(root: Optional[Path], flavour: str) -> StoreBackend:
-    """CLI helper: a dir/sqlite backend over ``root`` (default store)."""
-    from ..campaign.store import DEFAULT_ROOT
-
-    target = Path(root) if root is not None else DEFAULT_ROOT
-    if flavour == SqliteBackend.name:
-        return SqliteBackend(target)
-    return DirectoryBackend(target)

@@ -4,6 +4,8 @@ The heart of the subsystem's contract:
 
 * determinism — the same job set at ``jobs_n=1`` and ``jobs_n=4``
   yields byte-identical statistics in identical order;
+* a killed worker or a Ctrl-C stops the campaign without hanging, and
+  every group finished before it is in the store;
 * the store round-trips every ``SimStats`` field;
 * keys are sensitive to every part of the spec and stable across
   processes.
@@ -11,14 +13,22 @@ The heart of the subsystem's contract:
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.campaign import (
     CODE_VERSION,
     Job,
     Provenance,
     ResultStore,
+    WorkerLostError,
     campaign_context,
     current_context,
     job_key,
@@ -249,6 +259,128 @@ class TestCampaignContext:
         again = experiment.run(apps=("gzip",), n_insts=N, parallel=2, store=store)
         assert [r.sie_ipc for r in again.entries] == [r.sie_ipc for r in first.entries]
         assert store.hits >= store.writes
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="workers must inherit the patched execute_job",
+)
+
+# Kills the pool worker that runs the ammp group, once the gzip group's
+# result is durably stored, so what survives is deterministic.  Exits 3
+# on WorkerLostError.
+_KILL_ONE_WORKER = """
+import os, sys, time
+import repro.campaign.scheduler as scheduler
+from repro.campaign import Job, ResultStore, WorkerLostError, job_key, run_campaign
+
+store_root, n = sys.argv[1], int(sys.argv[2])
+jobs = [Job("gzip", n), Job("ammp", n)]
+gzip_key = job_key(jobs[0])
+real_execute_job = scheduler.execute_job
+
+def killer(job):
+    if job.workload == "ammp":
+        probe = ResultStore(store_root)
+        for _ in range(600):
+            if gzip_key in probe:
+                break
+            time.sleep(0.05)
+        os._exit(13)
+    return real_execute_job(job)
+
+scheduler.execute_job = killer
+try:
+    run_campaign(jobs, jobs_n=2, store=ResultStore(store_root))
+except WorkerLostError:
+    sys.exit(3)
+"""
+
+
+class TestParallelExecutor:
+    def test_dedup_byte_identical_to_serial(self, tmp_path):
+        jobs = [
+            Job("gzip", N, model="sie"),
+            Job("gzip", N, model="die"),
+            Job("ammp", N, model="sie"),
+            Job("gzip", N, model="sie"),  # intra-batch duplicate
+        ]
+        serial = run_campaign(jobs, jobs_n=1, store=ResultStore(tmp_path / "a"))
+        parallel = run_campaign(jobs, jobs_n=2, store=ResultStore(tmp_path / "b"))
+        assert stats_dicts(serial) == stats_dicts(parallel)
+        assert [r.job for r in parallel.results] == jobs
+        assert parallel.executed == serial.executed == 3
+        assert parallel.deduped == 1
+
+    def test_parallel_via_campaign_context(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        jobs = [Job("gzip", N), Job("ammp", N)]
+        with campaign_context(jobs_n=2, store=store) as context:
+            outcome = run_campaign(jobs)
+        assert outcome.executed == 2 and context.executed == 2
+        assert [r.job for r in outcome.results] == jobs
+
+    def test_store_hits_reported_first(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        warm = [Job("gzip", N, model=m) for m in ("sie", "die")]
+        run_campaign(warm, jobs_n=1, store=store)
+        jobs = [Job("ammp", N)] + warm + [Job("mcf", N)]
+        reported = []
+        outcome = run_campaign(
+            jobs,
+            jobs_n=2,
+            store=store,
+            progress=lambda done, total, result: reported.append(result),
+        )
+        # The two store hits are reported before either simulated job.
+        assert [r.from_store for r in reported] == [True, True, False, False]
+        assert {r.job.workload for r in reported[2:]} == {"ammp", "mcf"}
+        assert outcome.executed == 2 and outcome.store_hits == 2
+
+    @needs_fork
+    def test_worker_kill_raises_and_resumes(self, tmp_path):
+        store_root = tmp_path / "store"
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # A subprocess in its own session, so a hang fails the test and
+        # the kill reaches the pool workers too.
+        child = subprocess.Popen(
+            [sys.executable, "-c", _KILL_ONE_WORKER, str(store_root), str(N)],
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            status = child.wait(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            pytest.fail("run_campaign hung after a pool worker died")
+        assert status == 3, "expected WorkerLostError"
+        jobs = [Job("gzip", N), Job("ammp", N)]
+        assert list(ResultStore(store_root).keys()) == [job_key(jobs[0])]
+
+        resumed = run_campaign(jobs, jobs_n=2, store=ResultStore(store_root))
+        assert resumed.store_hits == 1  # gzip came back from the store
+        assert resumed.executed == 1  # only the killed group re-ran
+        assert [r.job for r in resumed.results] == jobs
+
+    def test_ctrl_c_keeps_completed_group(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        jobs = [Job("gzip", N), Job("ammp", N)]
+        completed = []
+
+        def interrupt(done, total, result):
+            completed.append(result.job)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(jobs, jobs_n=2, store=store, progress=interrupt)
+        assert len(completed) == 1
+        assert list(store.keys()) == [job_key(completed[0])]
+
+        resumed = run_campaign(jobs, jobs_n=2, store=store)
+        assert resumed.store_hits == 1 and resumed.executed == 1
 
 
 class TestSweepJobs:

@@ -169,6 +169,23 @@ class TestCampaignCommand:
         assert main(["campaign", "F99"]) == 2
         assert "F2" in capsys.readouterr().err
 
+    def test_campaign_worker_loss_fails_cleanly(self, capsys, monkeypatch, tmp_path):
+        import repro.experiments.common as common
+        from repro.campaign import WorkerLostError
+
+        def lose_worker(jobs):
+            raise WorkerLostError("a campaign worker died")
+
+        monkeypatch.setattr(common, "run_campaign", lose_worker)
+        args = [
+            "campaign", "F6", "--apps", "gzip", "--n", "3000",
+            "--store-dir", str(tmp_path / "store"),
+        ]
+        assert main(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "worker process died" in err[0] and "re-run" in err[0]
+
 
 class TestJsonOutput:
     def test_json_mode_emits_valid_json(self, capsys):
@@ -243,17 +260,16 @@ class TestStoreCommands:
         assert "local store" in capsys.readouterr().err
 
 
-class TestStreamingFlag:
-    def test_campaign_stream_matches_serial(self, capsys, tmp_path):
-        base = ["campaign", "F6", "--apps", "gzip", "--n", "3000", "--quiet"]
+class TestParallelCampaign:
+    def test_campaign_jobs_matches_serial(self, capsys, tmp_path):
+        # Two trace groups, so --jobs 2 really runs on the worker pool.
+        base = ["campaign", "F6", "--apps", "gzip,ammp", "--n", "3000", "--quiet"]
         assert main(base + ["--store-dir", str(tmp_path / "a")]) == 0
         serial = capsys.readouterr().out
-        stream = base + [
-            "--store-dir", str(tmp_path / "b"), "--jobs", "2", "--stream",
-        ]
-        assert main(stream) == 0
+        parallel = base + ["--store-dir", str(tmp_path / "b"), "--jobs", "2"]
+        assert main(parallel) == 0
         assert capsys.readouterr().out == serial
-        assert main(stream) == 0
+        assert main(parallel) == 0
         warm = capsys.readouterr()
         assert warm.out == serial
         assert "0 simulation(s) run" in warm.err

@@ -6,17 +6,13 @@ The contract under test:
   interface, with byte-fidelity on ``read_raw``;
 * the sqlite index is derived state — corruption and drift are repaired
   by rebuild, and queries keep working;
-* the streaming scheduler is byte-identical to the serial path, streams
-  results as they complete, and resumes after a killed worker;
 * ``repro serve`` answers warm queries with **zero simulations**
   (counter-asserted) and refuses cold/direct queries instead of
   simulating.
 """
 
 import json
-import os
 import threading
-import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
@@ -30,12 +26,10 @@ from repro.campaign import (
     ResultStore,
     StoreMissError,
     campaign_context,
-    job_key,
     job_spec,
     run_campaign,
 )
 from repro.core import SimStats
-from repro.service import streaming as streaming_mod
 from repro.service.backends import (
     KIND_FUZZ,
     KIND_PROFILE,
@@ -49,7 +43,6 @@ from repro.service.backends import (
 )
 from repro.service.maintenance import collect_garbage, migrate_index
 from repro.service.server import serve
-from repro.service.streaming import WorkerLostError, run_streaming
 
 N = 3000
 
@@ -58,10 +51,6 @@ def put_result(store, job, cycles=100):
     return store.put(
         job, SimStats(cycles=cycles, committed=50), Provenance("run", 1.0, CODE_VERSION)
     )
-
-
-def stats_dicts(outcome):
-    return [r.stats.to_dict() for r in outcome.results]
 
 
 @contextmanager
@@ -220,80 +209,6 @@ class TestSqliteIndex:
         backend.delete(KIND_RESULT, key)
         assert list(backend.keys(KIND_RESULT)) == []
         assert not backend.path_for(KIND_RESULT, key).exists()
-
-
-class TestStreaming:
-    def test_byte_identical_to_serial(self, tmp_path):
-        jobs = [
-            Job("gzip", N, model="sie"),
-            Job("gzip", N, model="die"),
-            Job("ammp", N, model="sie"),
-            Job("gzip", N, model="sie"),  # intra-batch duplicate
-        ]
-        serial = run_campaign(jobs, jobs_n=1, store=ResultStore(tmp_path / "a"))
-        streamed = run_streaming(jobs, jobs_n=2, store=ResultStore(tmp_path / "b"))
-        assert stats_dicts(serial) == stats_dicts(streamed)
-        assert [r.job for r in streamed.results] == jobs
-        assert streamed.executed == serial.executed == 3
-        assert streamed.deduped == 1
-
-    def test_warm_stream_is_all_hits_and_hits_stream_first(self, tmp_path):
-        import asyncio
-
-        store = ResultStore(tmp_path / "store")
-        jobs = [Job("gzip", N, model=m) for m in ("sie", "die")]
-        run_campaign(jobs, jobs_n=1, store=store)
-        cold_miss = Job("ammp", N)
-
-        async def collect():
-            out = []
-            async for result in streaming_mod.stream_campaign(
-                [cold_miss] + jobs, jobs_n=1, store=store
-            ):
-                out.append(result)
-            return out
-
-        results = asyncio.run(collect())
-        # The two store hits arrive before the simulated miss.
-        assert [r.from_store for r in results] == [True, True, False]
-        assert results[-1].job == cold_miss
-
-    def test_streaming_via_campaign_context(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        jobs = [Job("gzip", N), Job("ammp", N)]
-        with campaign_context(jobs_n=2, store=store, streaming=True) as context:
-            outcome = run_campaign(jobs)
-        assert outcome.executed == 2 and context.executed == 2
-        assert [r.job for r in outcome.results] == jobs
-
-    def test_worker_kill_raises_and_resumes(self, tmp_path, monkeypatch):
-        store_root = tmp_path / "store"
-        jobs = [Job("gzip", N), Job("ammp", N)]
-        gzip_key = job_key(jobs[0])
-        real_runner = streaming_mod._run_group
-
-        def killer(group):
-            if group[0][1].workload == "ammp":
-                # Die only after the sibling group's result is durably in
-                # the store, so the resume assertion is deterministic.
-                probe = ResultStore(store_root)
-                for _ in range(600):
-                    if gzip_key in probe:
-                        break
-                    time.sleep(0.05)
-                os._exit(13)
-            return real_runner(group)
-
-        monkeypatch.setattr(streaming_mod, "GROUP_RUNNER", killer)
-        with pytest.raises(WorkerLostError):
-            run_streaming(jobs, jobs_n=2, store=ResultStore(store_root))
-        assert gzip_key in ResultStore(store_root)
-
-        monkeypatch.setattr(streaming_mod, "GROUP_RUNNER", real_runner)
-        resumed = run_streaming(jobs, jobs_n=2, store=ResultStore(store_root))
-        assert resumed.store_hits == 1  # gzip came back from the store
-        assert resumed.executed == 1  # only the killed group re-ran
-        assert [r.job for r in resumed.results] == jobs
 
 
 class TestStoreOnly:
