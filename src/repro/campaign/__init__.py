@@ -29,7 +29,6 @@ from .progress import ProgressPrinter, wall_clock
 from .scheduler import (
     CampaignContext,
     CampaignOutcome,
-    CampaignState,
     StoreMissError,
     WorkerLostError,
     campaign_context,
@@ -43,7 +42,6 @@ __all__ = [
     "CODE_VERSION",
     "CampaignContext",
     "CampaignOutcome",
-    "CampaignState",
     "DEFAULT_ROOT",
     "Job",
     "JobResult",

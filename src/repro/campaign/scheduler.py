@@ -33,9 +33,6 @@ the parallelism and store once while inner layers keep calling
 context resolves from the store or raises :class:`StoreMissError` —
 never simulates; this is how ``repro serve`` guarantees a warm query
 executes zero simulations.
-
-The store pass, intra-batch dedup, result fan-out and ordering logic
-live in :class:`CampaignState`.
 """
 
 from __future__ import annotations
@@ -181,86 +178,6 @@ class CampaignOutcome:
     wall_time_s: float = 0.0
 
 
-class CampaignState:
-    """The campaign bookkeeping, whichever way its groups run.
-
-    :meth:`resolve` performs the store pass and intra-batch dedup,
-    :meth:`complete` persists and fans out one simulated result,
-    :meth:`finalize` re-asserts submission order.  Serial and parallel
-    outcomes are byte-identical because both feed this one class.
-    """
-
-    def __init__(
-        self,
-        jobs: Sequence[Job],
-        store: Optional[ResultStore] = None,
-        progress: Optional[ProgressFn] = None,
-    ):
-        self.jobs = jobs
-        self.store = store
-        self.progress = progress
-        self.total = len(jobs)
-        self.start = wall_clock()
-        self.outcome = CampaignOutcome(results=[])
-        self.done = 0
-        self._slots: List[Optional[JobResult]] = [None] * self.total
-        self._duplicates: Dict[int, List[int]] = {}  # first index -> followers
-
-    def _finish(self, index: int, result: JobResult) -> None:
-        self._slots[index] = result
-        self.done += 1
-        if self.progress is not None:
-            self.progress(self.done, self.total, result)
-
-    def resolve(self) -> List[_Group]:
-        """Store pass + dedup; returns the trace groups left to simulate."""
-        first_index_for_key: Dict[str, int] = {}
-        pending: List[Tuple[int, Job]] = []
-        for index, job in enumerate(self.jobs):
-            key = job_key(job)
-            if self.store is not None:
-                found = self.store.get(key)
-                if found is not None:
-                    stats, provenance = found
-                    self.outcome.store_hits += 1
-                    self._finish(index, JobResult(job, stats, provenance))
-                    continue
-            first = first_index_for_key.setdefault(key, index)
-            if first != index:
-                self._duplicates.setdefault(first, []).append(index)
-                self.outcome.deduped += 1
-            else:
-                pending.append((index, job))
-        return _group_by_trace(pending)
-
-    def complete(self, index: int, stats: SimStats, wall: float) -> None:
-        """Persist one simulated result and fan it out to duplicate jobs."""
-        job = self.jobs[index]
-        provenance = Provenance(SOURCE_RUN, wall, CODE_VERSION)
-        if self.store is not None:
-            self.store.put(job, stats, provenance)
-        self.outcome.executed += 1
-        self._finish(index, JobResult(job, stats, provenance))
-        for follower in self._duplicates.get(index, ()):
-            self._finish(
-                follower,
-                JobResult(
-                    self.jobs[follower], stats, Provenance(SOURCE_STORE, wall, CODE_VERSION)
-                ),
-            )
-
-    def finalize(self) -> CampaignOutcome:
-        """Assemble the outcome in submission order; absorbs into context."""
-        self.outcome.results = [r for r in self._slots if r is not None]
-        if len(self.outcome.results) != self.total:
-            raise RuntimeError("campaign lost results (scheduler bug)")
-        self.outcome.wall_time_s = wall_clock() - self.start
-        context = current_context()
-        if context is not None:
-            context.absorb(self.outcome)
-        return self.outcome
-
-
 @dataclass
 class CampaignContext:
     """Ambient campaign settings plus cross-call counters.
@@ -403,22 +320,63 @@ def run_campaign(
     if progress is None and context is not None:
         progress = context.progress
 
-    state = CampaignState(jobs, store=store, progress=progress)
+    total = len(jobs)
+    start = wall_clock()
+    outcome = CampaignOutcome(results=[])
+    slots: List[Optional[JobResult]] = [None] * total
+    done = 0
+
+    def finish(index: int, result: JobResult) -> None:
+        nonlocal done
+        slots[index] = result
+        done += 1
+        if progress is not None:
+            progress(done, total, result)
 
     # 1. Store lookups + intra-batch dedup: only unique misses simulate.
-    groups = state.resolve()
+    first_index_for_key: Dict[str, int] = {}
+    duplicates: Dict[int, List[int]] = {}  # first index -> followers
+    pending: List[Tuple[int, Job]] = []
+    for index, job in enumerate(jobs):
+        key = job_key(job)
+        if store is not None:
+            found = store.get(key)
+            if found is not None:
+                stats, provenance = found
+                outcome.store_hits += 1
+                finish(index, JobResult(job, stats, provenance))
+                continue
+        first = first_index_for_key.setdefault(key, index)
+        if first != index:
+            duplicates.setdefault(first, []).append(index)
+            outcome.deduped += 1
+        else:
+            pending.append((index, job))
 
-    if groups and context is not None and context.store_only:
-        raise StoreMissError(
-            missing=sum(len(g) for g in groups) + state.outcome.deduped,
-            total=state.total,
-        )
+    if pending and context is not None and context.store_only:
+        raise StoreMissError(missing=len(pending) + outcome.deduped, total=total)
 
     # 2. Execute the misses, grouped so each trace is generated once; the
-    #    one drain loop persists every result the moment its group lands.
-    with closing(_finished_groups(groups, jobs_n)) as finished:
+    #    one drain loop persists every result the moment its group lands
+    #    and fans it out to duplicate jobs.
+    with closing(_finished_groups(_group_by_trace(pending), jobs_n)) as finished:
         for group_result in finished:
             for index, stats, wall in group_result:
-                state.complete(index, stats, wall)
+                job = jobs[index]
+                provenance = Provenance(SOURCE_RUN, wall, CODE_VERSION)
+                if store is not None:
+                    store.put(job, stats, provenance)
+                outcome.executed += 1
+                finish(index, JobResult(job, stats, provenance))
+                shared = Provenance(SOURCE_STORE, wall, CODE_VERSION)
+                for follower in duplicates.get(index, ()):
+                    finish(follower, JobResult(jobs[follower], stats, shared))
 
-    return state.finalize()
+    # 3. Submission order, whatever order the groups finished in.
+    outcome.results = [r for r in slots if r is not None]
+    if len(outcome.results) != total:
+        raise RuntimeError("campaign lost results (scheduler bug)")
+    outcome.wall_time_s = wall_clock() - start
+    if context is not None:
+        context.absorb(outcome)
+    return outcome

@@ -23,9 +23,9 @@ Commands:
   (see ``docs/SAMPLING.md``).  ``run`` and ``campaign`` accept
   ``--sample`` to estimate statistics from selected regions instead of
   simulating whole traces.
-* ``serve`` — answer result/experiment/store queries over HTTP straight
-  from the store; a warm query executes zero simulations
-  (see ``docs/SERVICE.md``).
+* ``serve`` — answer result/experiment/store queries over a read-only
+  HTTP API straight from a local store; a warm query executes zero
+  simulations (see ``docs/SERVICE.md``).
 * ``store stats|gc|migrate`` — store housekeeping: per-kind entry
   counts and sizes, garbage collection (stale temp files, orphaned
   profile side-cars, corrupt documents), and the directory → sqlite
@@ -227,8 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--n", type=int, default=None, help="instructions per run")
     camp.add_argument("--seed", type=int, default=None, help="workload seed")
     camp.add_argument("--store-dir", default=None, metavar="DIR",
-                      help="result-store root or http(s):// URL of a "
-                           "`repro serve` (default results/store)")
+                      help="result-store root (default results/store)")
     camp.add_argument("--backend", choices=("dir", "sqlite"), default="dir",
                       help="local store backend (default dir; "
                            "sqlite adds a metadata index)")
@@ -250,8 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="result-store root (default results/store)")
     serve.add_argument("--backend", choices=("dir", "sqlite"), default="sqlite",
                        help="store backend (default sqlite: indexed listing)")
-    serve.add_argument("--read-only", action="store_true",
-                       help="reject PUT writes from remote campaigns")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress per-request logging on stderr")
 
@@ -273,8 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for st_cmd in (st_stats, st_gc, st_migrate):
         st_cmd.add_argument("--store-dir", default=None, metavar="DIR",
-                            help="result-store root (default results/store); "
-                                 "stats also accepts an http(s):// URL")
+                            help="result-store root (default results/store)")
         st_cmd.add_argument("--backend", choices=("dir", "sqlite"),
                             default="dir", help="local store backend")
         st_cmd.add_argument("--json", action="store_true",
@@ -537,6 +533,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         save_profile,
     )
 
+    store: Optional[ResultStore] = None
+    if args.store_profile:
+        store = _open_store(args.store_dir)
+        if store is None:
+            return 2
     recorder = RecordingTracer()
     collector = MetricsCollector()
     plan = _sampling_plan(args)
@@ -592,10 +593,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.profile:
         save_profile(profile, args.profile)
         print(f"wrote run profile to {args.profile}", file=sys.stderr)
-    if args.store_profile:
+    if store is not None:
         from .campaign import Job
 
-        store = ResultStore(Path(args.store_dir) if args.store_dir else None)
         job = Job(
             args.workload, args.n, seed=args.seed, model=args.model,
             warmup=not args.no_warmup,
@@ -682,10 +682,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return subprocess.call(command, env=env)
 
 
-def _open_store(store_dir: Optional[str], backend: str = "dir") -> ResultStore:
-    """A store over a local root (dir/sqlite) or a ``repro serve`` URL."""
+def _open_store(
+    store_dir: Optional[str], backend: str = "dir"
+) -> Optional[ResultStore]:
+    """A store over a local root (dir/sqlite); ``None``, reported, for a URL.
+
+    Stores are local directories only.  ``Path("http://host:8321")``
+    would quietly create a directory named ``http:``, so a URL is refused.
+    """
     from .service.backends import open_backend
 
+    if store_dir and store_dir.startswith(("http://", "https://")):
+        print(
+            f"--store-dir must be a local store directory, not a URL: {store_dir}",
+            file=sys.stderr,
+        )
+        return None
     spec = store_dir if store_dir else str(DEFAULT_ROOT)
     return ResultStore(backend=open_backend(spec, backend=backend))
 
@@ -699,6 +711,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     store: Optional[ResultStore] = None
     if not args.no_store:
         store = _open_store(args.store_dir, args.backend)
+        if store is None:
+            return 2
         if args.clear_store:
             removed = store.clear()
             print(f"store cleared ({removed} entries)", file=sys.stderr)
@@ -739,19 +753,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.server import serve
 
     store = _open_store(args.store_dir, args.backend)
+    if store is None:
+        return 2
     log = None
     if not args.quiet:
         def log(line: str) -> None:
             print(line, file=sys.stderr)
-    server = serve(
-        store, host=args.host, port=args.port,
-        read_only=args.read_only, log=log,
-    )
-    print(
-        f"serving {store.backend.describe()} on {server.url}"
-        + (" (read-only)" if args.read_only else ""),
-        file=sys.stderr,
-    )
+    server = serve(store, host=args.host, port=args.port, log=log)
+    print(f"serving {store.backend.describe()} on {server.url}", file=sys.stderr)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -764,24 +773,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     import json
 
-    from .service.backends import StoreBackendError
-    from .service.maintenance import collect_garbage, migrate_index, store_stats
-
-    if args.store_command == "migrate":
-        if args.store_dir and args.store_dir.startswith(("http://", "https://")):
-            print("migrate needs a local store directory", file=sys.stderr)
-            return 2
-        root = Path(args.store_dir) if args.store_dir else DEFAULT_ROOT
-        rows = migrate_index(root)
-        if args.json:
-            print(json.dumps({"root": str(root), "indexed": rows}))
-        else:
-            print(f"indexed {rows} entr{'y' if rows == 1 else 'ies'} in {root}")
-        return 0
+    from .service.maintenance import collect_garbage, migrate_index
 
     store = _open_store(args.store_dir, args.backend)
+    if store is None:
+        return 2
+    if args.store_command == "migrate":
+        rows = migrate_index(store.root)
+        if args.json:
+            print(json.dumps({"root": str(store.root), "indexed": rows}))
+        else:
+            print(f"indexed {rows} entr{'y' if rows == 1 else 'ies'} in {store.root}")
+        return 0
+
     if args.store_command == "stats":
-        payload = store_stats(store.backend)
+        payload = store.stats().to_dict()
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
             return 0
@@ -799,11 +805,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     if args.store_command == "gc":
-        try:
-            report = collect_garbage(store.backend, dry_run=args.dry_run)
-        except StoreBackendError as error:
-            print(error, file=sys.stderr)
-            return 2
+        report = collect_garbage(store.backend, dry_run=args.dry_run)
         payload = report.to_dict()
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
@@ -939,7 +941,9 @@ def _cmd_sample_validate(args: argparse.Namespace) -> int:
     plan = _sampling_plan(args)
     store: Optional[ResultStore] = None
     if not args.no_store:
-        store = ResultStore(Path(args.store_dir) if args.store_dir else None)
+        store = _open_store(args.store_dir)
+        if store is None:
+            return 2
     with campaign_context(jobs_n=args.jobs, store=store):
         errors = measure_errors(apps, models, args.n, plan, seed=args.seed)
 
@@ -1025,7 +1029,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     store: Optional[ResultStore] = None
     if not args.no_store:
-        store = ResultStore(Path(args.store_dir) if args.store_dir else None)
+        store = _open_store(args.store_dir)
+        if store is None:
+            return 2
 
     if args.list_corpus:
         if store is None:

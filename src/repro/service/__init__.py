@@ -1,21 +1,19 @@
-"""Service tier: pluggable store backends, HTTP API, store maintenance.
+"""Service tier: local store backends, read-only HTTP API, store maintenance.
 
 The campaign layer (PR 2) established the contract — declarative
 :class:`~repro.campaign.jobs.Job` specs hashed into content keys, one
 JSON document per result, atomic writes, warm re-runs answered without
 simulating.  This package promotes that store into a service:
 
-* :mod:`.backends` — the :class:`~.backends.StoreBackend` interface and
-  three implementations: the original sharded local directory
-  (:class:`~.backends.DirectoryBackend`), a sqlite-indexed variant for
-  O(1) metadata queries over 10k+ entries
-  (:class:`~.backends.SqliteBackend`), and an HTTP client with a
-  read-through local cache (:class:`~.backends.HTTPBackend`).
-* :mod:`.server` — ``repro serve``, a thin stdlib HTTP API answering
-  result/experiment/profile queries straight from the store; a warm
-  query executes zero simulations.
-* :mod:`.maintenance` — store statistics, garbage collection and the
-  directory→sqlite index migration behind ``repro store``.
+* :mod:`.backends` — two backends over a local store directory: the
+  original sharded layout (:class:`~.backends.DirectoryBackend`) and a
+  sqlite-indexed variant for O(1) metadata queries over 10k+ entries
+  (:class:`~.backends.SqliteBackend`).
+* :mod:`.server` — ``repro serve``, a thin, read-only stdlib HTTP API
+  answering result/experiment/profile queries straight from the store;
+  a warm query executes zero simulations.
+* :mod:`.maintenance` — garbage collection and the directory→sqlite
+  index migration behind ``repro store``.
 
 Only the backend layer is imported eagerly (the campaign store depends
 on it); the server is imported by the CLI on demand::
@@ -23,7 +21,7 @@ on it); the server is imported by the CLI on demand::
     from repro.service.server import ReproServer
 
 See ``docs/SERVICE.md`` for the backend matrix, the API routes and the
-consistency/caching semantics.
+failure modes.
 """
 
 from .backends import (
@@ -33,12 +31,8 @@ from .backends import (
     KINDS,
     DirectoryBackend,
     EntryMeta,
-    HTTPBackend,
     SqliteBackend,
-    StoreBackend,
-    StoreBackendError,
     StoreStats,
-    StoreUnavailableError,
     open_backend,
 )
 
@@ -49,11 +43,7 @@ __all__ = [
     "KINDS",
     "DirectoryBackend",
     "EntryMeta",
-    "HTTPBackend",
     "SqliteBackend",
-    "StoreBackend",
-    "StoreBackendError",
     "StoreStats",
-    "StoreUnavailableError",
     "open_backend",
 ]

@@ -20,11 +20,12 @@ Routes::
     GET  /experiment/<id>?...           store-only experiment replay
     GET  /diff?baseline=&target=&threshold=   stored-profile degradation check
     POST /job                           job spec -> content key resolution
-    PUT  /result|profile|fuzz/<key>     remote write (unless --read-only)
 
-Document routes return the store's exact bytes (``read_raw``), so a
-response is byte-identical to the underlying file — the property the
-HTTP backend's read-through cache and the CI smoke job rely on.
+The server is read-only by construction: no route writes to the store,
+and any other method (``PUT``, ``DELETE``, ...) is answered 501 by the
+stdlib handler.  Document routes return the store's exact bytes
+(``read_raw``), so a response is byte-identical to the underlying file —
+the property the CI smoke job relies on.
 
 The handler never prints: request logging goes through the server's
 ``log`` callback (the CLI passes a stderr writer; tests pass ``None``).
@@ -46,6 +47,7 @@ from ..campaign import (
 )
 from ..campaign.store import ResultStore
 from ..sampling.plan import SamplingPlan
+from ..workloads import APP_NAMES
 from .backends import KINDS
 
 #: Sampling query parameters accepted by ``/experiment`` (mirroring the
@@ -69,28 +71,41 @@ class ServeError(Exception):
         self.payload = {"error": message, **extra}
 
 
-def _experiment_payload(query: Dict[str, str]) -> Tuple[dict, dict]:
-    """Parse an ``/experiment`` query into (run kwargs, sampling kwargs)."""
+def _experiment_payload(
+    query: Dict[str, str]
+) -> Tuple[dict, Optional[SamplingPlan]]:
+    """Parse an ``/experiment`` query into (run kwargs, sampling plan).
+
+    Every value is checked here, so a bad query is a 400 rather than an
+    error inside the experiment or a 409 no campaign could ever fill.
+    """
     kwargs: dict = {}
     if query.get("apps"):
-        kwargs["apps"] = tuple(a for a in query["apps"].split(",") if a)
+        apps = tuple(a for a in query["apps"].split(",") if a)
+        unknown = [a for a in apps if a not in APP_NAMES]
+        if unknown:
+            raise ServeError(400, f"unknown app(s): {', '.join(unknown)}")
+        kwargs["apps"] = apps
     try:
         if query.get("n"):
             kwargs["n_insts"] = int(query["n"])
+            if kwargs["n_insts"] < 1:
+                raise ValueError("n must be >= 1")
         if query.get("seed"):
             kwargs["seed"] = int(query["seed"])
-        sampling: dict = {}
+        plan: Optional[SamplingPlan] = None
         if query.get("sample") in ("1", "true", "yes"):
+            sampling: dict = {}
             for param, field_name in _SAMPLING_PARAMS.items():
                 if query.get(param):
                     raw = query[param]
                     sampling[field_name] = (
                         float(raw) if field_name == "budget" else int(raw)
                     )
-            sampling.setdefault("interval", SamplingPlan().interval)
+            plan = SamplingPlan(**sampling)
     except ValueError as error:
         raise ServeError(400, f"bad query parameter: {error}") from None
-    return kwargs, sampling
+    return kwargs, plan
 
 
 class ReproServer(ThreadingHTTPServer):
@@ -108,12 +123,10 @@ class ReproServer(ThreadingHTTPServer):
         self,
         address: Tuple[str, int],
         store: ResultStore,
-        read_only: bool = False,
         log: Optional[Callable[[str], None]] = None,
     ):
         super().__init__(address, _Handler)
         self.store = store
-        self.read_only = read_only
         self.log = log
         self.simulations_executed = 0
         self.queries = 0
@@ -141,8 +154,7 @@ class ReproServer(ThreadingHTTPServer):
                 f"experiment {experiment.id} reads live pipeline state and "
                 "cannot be answered from the store",
             )
-        kwargs, sampling = _experiment_payload(query)
-        plan = SamplingPlan(**sampling) if sampling else None
+        kwargs, plan = _experiment_payload(query)
         with self.experiment_lock:
             with campaign_context(
                 store=self.store, sampling=plan, store_only=True
@@ -223,7 +235,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, json.dumps(payload, sort_keys=True, default=str).encode("utf-8"))
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request body; 400, without reading, on a bad length header.
+
+        ``rfile.read`` treats a negative length as "read to EOF", which
+        would hold the thread until the client hangs up.
+        """
+        header = self.headers.get("Content-Length")
+        if header is None:
+            return b""
+        text = header.strip()
+        if not (text.isascii() and text.isdigit()):
+            raise ServeError(400, f"bad Content-Length: {header!r}")
+        length = int(text)
         return self.rfile.read(length) if length else b""
 
     def _route(self) -> Tuple[str, Dict[str, str]]:
@@ -321,33 +344,12 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
-    # -- PUT -----------------------------------------------------------
-
-    def do_PUT(self) -> None:
-        self._dispatch(self._put)
-
-    def _put(self, path: str, query: Dict[str, str]) -> None:
-        kind_key = self._kind_key(path)
-        if kind_key is None:
-            raise ServeError(404, f"unknown route {path}")
-        if self.server.read_only:
-            raise ServeError(403, "server is read-only")
-        try:
-            document = json.loads(self._read_body() or b"null")
-        except ValueError:
-            raise ServeError(400, "body is not valid JSON") from None
-        if not isinstance(document, dict):
-            raise ServeError(400, "body must be a JSON object")
-        self.server.store.backend.write(kind_key[0], kind_key[1], document)
-        self._send_json(201, {"key": kind_key[1], "kind": kind_key[0]})
-
 
 def serve(
     store: ResultStore,
     host: str = "127.0.0.1",
     port: int = 8321,
-    read_only: bool = False,
     log: Optional[Callable[[str], None]] = None,
 ) -> ReproServer:
     """Build a bound (not yet running) server; call ``serve_forever``."""
-    return ReproServer((host, port), store, read_only=read_only, log=log)
+    return ReproServer((host, port), store, log=log)

@@ -259,6 +259,51 @@ class TestStoreCommands:
         assert main(["store", "migrate", "--store-dir", "http://x:1"]) == 2
         assert "local store" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "F6", "--apps", "gzip", "--n", "3000"],
+            ["serve", "--port", "0"],
+            ["store", "stats"],
+            ["trace", "gzip", "--n", "1000", "--out", "t.json", "--store-profile"],
+            ["sample", "validate", "--apps", "gzip"],
+            ["fuzz", "--n", "1"],
+        ],
+    )
+    def test_url_store_dir_refused(self, capsys, monkeypatch, tmp_path, argv):
+        # Stores are local directories; a URL must neither run nor
+        # quietly become a directory named "http:".
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--store-dir", "https://x:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "local store" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStartupImports:
+    def test_cli_import_loads_no_http_client_stack(self):
+        # Stores are local: starting the CLI must not pull in the HTTP
+        # client, TLS or URL-opening modules.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import sys, repro.cli\n"
+            "print(' '.join(m for m in ('urllib.request', 'http.client', 'ssl')"
+            " if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, env=env, timeout=120,
+        )
+        assert result.stdout.strip() == ""
+
 
 class TestParallelCampaign:
     def test_campaign_jobs_matches_serial(self, capsys, tmp_path):

@@ -2,16 +2,17 @@
 
 The contract under test:
 
-* all three store backends answer the same (kind, key) -> document
+* both store backends answer the same (kind, key) -> document
   interface, with byte-fidelity on ``read_raw``;
 * the sqlite index is derived state — corruption and drift are repaired
   by rebuild, and queries keep working;
 * ``repro serve`` answers warm queries with **zero simulations**
-  (counter-asserted) and refuses cold/direct queries instead of
-  simulating.
+  (counter-asserted), refuses cold/direct queries instead of
+  simulating, answers malformed requests 400 and writes nothing.
 """
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -29,16 +30,14 @@ from repro.campaign import (
     job_spec,
     run_campaign,
 )
+from repro.cli import main
 from repro.core import SimStats
 from repro.service.backends import (
     KIND_FUZZ,
     KIND_PROFILE,
     KIND_RESULT,
     DirectoryBackend,
-    HTTPBackend,
     SqliteBackend,
-    StoreBackendError,
-    StoreUnavailableError,
     open_backend,
 )
 from repro.service.maintenance import collect_garbage, migrate_index
@@ -54,8 +53,8 @@ def put_result(store, job, cycles=100):
 
 
 @contextmanager
-def running_server(store, read_only=False):
-    server = serve(store, port=0, read_only=read_only)
+def running_server(store):
+    server = serve(store, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -158,16 +157,9 @@ class TestResultStoreOverBackends:
             docs[name] = store.path_for(key).read_bytes()
         assert docs["dir"] == docs["sqlite"], "backends persist different bytes"
 
-    def test_http_store_has_no_local_paths(self, tmp_path):
-        store = ResultStore(backend=HTTPBackend("http://127.0.0.1:1"))
-        assert store.root is None
-        with pytest.raises(StoreBackendError, match="no local paths"):
-            store.path_for("ab" * 32)
-
     def test_open_backend_dispatch(self, tmp_path):
         assert isinstance(open_backend(str(tmp_path)), DirectoryBackend)
         assert isinstance(open_backend(str(tmp_path), backend="sqlite"), SqliteBackend)
-        assert isinstance(open_backend("http://x:1"), HTTPBackend)
         with pytest.raises(ValueError, match="unknown backend"):
             open_backend(str(tmp_path), backend="s3")
 
@@ -313,89 +305,59 @@ class TestServe:
                 assert status == 400
                 assert "live pipeline state" in json.loads(body)["error"]
 
-    def test_put_writes_and_read_only_refuses(self, tmp_path):
-        store = ResultStore(tmp_path / "rw")
+    def test_put_is_not_implemented_and_writes_nothing(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = put_result(store, Job("gzip", N))
+        before = store.path_for(key).read_bytes()
         with running_server(store) as server:
-            request = urllib.request.Request(
-                f"{server.url}/fuzz/{'ab' * 32}",
-                data=json.dumps({"spec": {}}).encode(),
-                method="PUT",
-            )
-            with urllib.request.urlopen(request) as response:
-                assert response.status == 201
-            assert store.get_fuzz("ab" * 32) == {"spec": {}}
-        with running_server(ResultStore(tmp_path / "ro"), read_only=True) as server:
-            request = urllib.request.Request(
-                f"{server.url}/fuzz/{'ab' * 32}", data=b"{}", method="PUT"
-            )
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request)
-            assert excinfo.value.code == 403
+            for kind in ("result", "fuzz"):
+                request = urllib.request.Request(
+                    f"{server.url}/{kind}/{key}", data=b"{}", method="PUT"
+                )
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request)
+                assert excinfo.value.code == 501
+        assert store.path_for(key).read_bytes() == before
+        assert store.get_fuzz(key) is None
 
-
-class TestHTTPBackend:
-    def test_remote_reads_and_read_through_cache(self, tmp_path):
-        origin = ResultStore(tmp_path / "origin")
-        job = Job("gzip", N)
-        key = put_result(origin, job)
-        origin_bytes = origin.path_for(key).read_bytes()
-        with running_server(origin) as server:
-            remote = ResultStore(
-                backend=HTTPBackend(server.url, cache_dir=tmp_path / "cache")
-            )
-            got, provenance = remote.get(key)
-            assert got.cycles == 100 and provenance.source == "store"
-            assert remote.backend.cache_hits == 0
-            remote.get(key)
-            assert remote.backend.cache_hits == 1
-            cached = remote.backend.cache.path_for(KIND_RESULT, key).read_bytes()
-            assert cached == origin_bytes, "cache is not byte-faithful"
-        # Server gone: the cache still answers.
-        assert remote.get(key) is not None
-
-    def test_remote_campaign_writes_through(self, tmp_path):
-        origin = ResultStore(tmp_path / "origin")
-        with running_server(origin) as server:
-            remote = ResultStore(backend=HTTPBackend(server.url))
-            outcome = run_campaign([Job("gzip", N)], store=remote)
-            assert outcome.executed == 1
-            assert len(origin) == 1  # the PUT landed in the origin store
-            warm = run_campaign([Job("gzip", N)], store=remote)
-            assert warm.executed == 0 and warm.store_hits == 1
-
-    def test_miss_is_none_not_retry(self, tmp_path):
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5"])
+    def test_bad_content_length_is_400_without_reading(self, tmp_path, length):
+        # rfile.read(-1) reads to EOF, holding the thread until the client
+        # hangs up; the socket timeout turns such a hang into a failure.
         with running_server(ResultStore(tmp_path)) as server:
-            backend = HTTPBackend(server.url, retries=3, backoff_s=0.001)
-            assert backend.read(KIND_RESULT, "0" * 64) is None
-            assert backend.retried == 0, "404 must not be retried"
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(
+                    b"POST /job HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: " + length.encode() + b"\r\n\r\n{}"
+                )
+                reply = b""
+                while True:  # the server closes after one reply
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == b"400"
+        body = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert "Content-Length" in body["error"]
 
-    def test_transient_failures_retry_with_backoff(self, tmp_path, monkeypatch):
-        origin = ResultStore(tmp_path)
-        key = put_result(origin, Job("gzip", N))
-        with running_server(origin) as server:
-            real_urlopen = urllib.request.urlopen
-            failures = {"left": 2}
-
-            def flaky(request, timeout=None):
-                if failures["left"] > 0:
-                    failures["left"] -= 1
-                    raise urllib.error.URLError("connection reset")
-                return real_urlopen(request, timeout=timeout)
-
-            monkeypatch.setattr(urllib.request, "urlopen", flaky)
-            backend = HTTPBackend(server.url, retries=3, backoff_s=0.001)
-            assert backend.read(KIND_RESULT, key) is not None
-            assert backend.retried == 2
-
-    def test_unreachable_raises_unavailable(self):
-        backend = HTTPBackend("http://127.0.0.1:9", retries=1, backoff_s=0.001)
-        with pytest.raises(StoreUnavailableError, match="after 2 attempt"):
-            backend.read(KIND_RESULT, "0" * 64)
-
-    def test_remote_delete_refused(self):
-        backend = HTTPBackend("http://127.0.0.1:9")
-        with pytest.raises(StoreBackendError, match="cannot delete"):
-            backend.delete(KIND_RESULT, "0" * 64)
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "apps=gzip&n=0",
+            "apps=gzip&n=-5",
+            "apps=gzip&sample=1&interval=0",
+            "apps=gzip&sample=1&budget=7",
+            "apps=nosuch",
+            "apps=gzip,nosuch",
+        ],
+    )
+    def test_bad_experiment_query_is_400(self, tmp_path, query):
+        with running_server(ResultStore(tmp_path)) as server:
+            status, body = http_get(f"{server.url}/experiment/F6?{query}")
+            assert status == 400, body
+            assert server.simulations_executed == 0
 
 
 class TestGarbageCollection:
@@ -431,6 +393,8 @@ class TestGarbageCollection:
         assert report.total_removed == 0
         assert store.get_fuzz("ef" * 32) is not None
 
-    def test_gc_refuses_remote_stores(self):
-        with pytest.raises(StoreBackendError, match="local store"):
-            collect_garbage(HTTPBackend("http://127.0.0.1:9"))
+    def test_gc_refuses_remote_stores(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["store", "gc", "--store-dir", "http://127.0.0.1:9"]) == 2
+        assert "local store" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [], "a URL must not become a directory"
